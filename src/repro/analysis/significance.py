@@ -5,14 +5,15 @@ of connections") and null claims ("Riptide had no discernible effect on
 the 10KB probes").  A two-sample Kolmogorov–Smirnov test puts numbers on
 both: a tiny p-value says the distributions genuinely differ, a large
 one says any difference is noise.
+
+scipy is imported inside :func:`ks_compare`, its only user, so importing
+the package (every experiment does) does not pay scipy's start-up cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable
-
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,8 @@ def ks_compare(
     treatment: Iterable[float],
 ) -> KsComparison:
     """Two-sample KS test; raises on empty inputs."""
+    from scipy import stats
+
     control_values = list(control)
     treatment_values = list(treatment)
     if not control_values or not treatment_values:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.net.addresses import IPv4Address, Prefix
+from repro.net.addresses import IPv4Address, Prefix, netmask
 
 
 class _Keep:
@@ -60,30 +60,60 @@ class RouteEntry:
 
 
 class RouteTable:
-    """Longest-prefix-match route table."""
+    """Longest-prefix-match route table.
+
+    ``_routes`` is the table itself.  Lookups go through an index derived
+    from it: one ``{masked network: entry}`` dict per populated prefix
+    length, probed longest length first, so a lookup costs one dict probe
+    per populated length however many routes are installed.
+    """
 
     def __init__(self) -> None:
         self._routes: dict[Prefix, RouteEntry] = {}
+        self._by_length: dict[int, dict[int, RouteEntry]] = {}
+        #: ``(mask, routes of that length)``, longest length first.
+        self._probes: list[tuple[int, dict[int, RouteEntry]]] = []
 
     def __len__(self) -> int:
         return len(self._routes)
+
+    def _store(self, entry: RouteEntry) -> None:
+        prefix = entry.prefix
+        self._routes[prefix] = entry
+        bucket = self._by_length.get(prefix.length)
+        if bucket is None:
+            bucket = self._by_length[prefix.length] = {}
+            self._reprobe()
+        bucket[prefix.network.value] = entry
+
+    def _reprobe(self) -> None:
+        self._probes = [
+            (netmask(length), self._by_length[length])
+            for length in sorted(self._by_length, reverse=True)
+        ]
 
     def add(self, entry: RouteEntry) -> None:
         """Add a route; fails if the exact prefix already exists."""
         if entry.prefix in self._routes:
             raise KeyError(f"route for {entry.prefix} already exists")
-        self._routes[entry.prefix] = entry
+        self._store(entry)
 
     def replace(self, entry: RouteEntry) -> None:
         """Add or overwrite the route for the entry's prefix."""
-        self._routes[entry.prefix] = entry
+        self._store(entry)
 
     def delete(self, prefix: Prefix) -> RouteEntry:
         """Remove and return the route for an exact prefix.
 
         Raises :class:`KeyError` when no such route exists.
         """
-        return self._routes.pop(prefix)
+        entry = self._routes.pop(prefix)
+        bucket = self._by_length[prefix.length]
+        del bucket[prefix.network.value]
+        if not bucket:
+            del self._by_length[prefix.length]
+            self._reprobe()
+        return entry
 
     def get(self, prefix: Prefix) -> RouteEntry | None:
         """The route for an *exact* prefix, if present."""
@@ -91,12 +121,12 @@ class RouteTable:
 
     def lookup(self, destination: IPv4Address) -> RouteEntry | None:
         """Longest-prefix match for a destination address."""
-        best: RouteEntry | None = None
-        for prefix, entry in self._routes.items():
-            if prefix.contains(destination):
-                if best is None or prefix.length > best.prefix.length:
-                    best = entry
-        return best
+        value = destination.value
+        for mask, routes in self._probes:
+            entry = routes.get(value & mask)
+            if entry is not None:
+                return entry
+        return None
 
     def entries(self) -> list[RouteEntry]:
         """All routes, most specific first (stable order within a length)."""
@@ -123,7 +153,7 @@ class RouteTable:
         if not isinstance(initrwnd, _Keep):
             changes["initrwnd"] = initrwnd
         updated = replace(entry, **changes)
-        self._routes[prefix] = updated
+        self._store(updated)
         return updated
 
     def __repr__(self) -> str:

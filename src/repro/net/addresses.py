@@ -76,21 +76,31 @@ class IPv4Address:
 
 
 class Prefix:
-    """An immutable IPv4 prefix (network address + mask length)."""
+    """An immutable IPv4 prefix (network address + mask length).
 
-    __slots__ = ("_network", "_length")
+    The mask and the hash are computed once at construction: prefixes
+    are dictionary keys in the route table and the zone map, and
+    :meth:`contains` runs on every zone resolution.
+    """
+
+    __slots__ = ("_network", "_length", "_mask", "_hash")
 
     def __init__(self, network: "int | str | IPv4Address", length: int) -> None:
-        if not 0 <= length <= 32:
-            raise AddressError(f"prefix length out of range: {length}")
+        mask = netmask(length)
         addr = IPv4Address(network)
-        mask = _mask_for(length)
-        if addr.value & ~mask & _MAX_IPV4:
+        if addr._value & ~mask & _MAX_IPV4:
             raise AddressError(
                 f"{addr}/{length} has host bits set; not a valid network address"
             )
-        self._network = addr
+        self._set(addr, length, mask)
+
+    def _set(self, network: IPv4Address, length: int, mask: int) -> None:
+        self._network = network
         self._length = length
+        self._mask = mask
+        # Equal to ``hash((network, length))``: an address hashes as its
+        # integer, so set and dict iteration orders stay what they were.
+        self._hash = hash((network._value, length))
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -105,13 +115,22 @@ class Prefix:
     @classmethod
     def host(cls, address: "int | str | IPv4Address") -> "Prefix":
         """The /32 prefix covering exactly one host."""
-        return cls(IPv4Address(address), 32)
+        return cls.containing(address, 32)
 
     @classmethod
     def containing(cls, address: "int | str | IPv4Address", length: int) -> "Prefix":
         """The prefix of the given length that contains ``address``."""
-        addr = IPv4Address(address)
-        return cls(addr.value & _mask_for(length), length)
+        mask = netmask(length)
+        if not isinstance(address, IPv4Address):
+            address = IPv4Address(address)
+        value = address._value & mask
+        prefix = cls.__new__(cls)
+        # Masking cannot set host bits, so the network needs no check; an
+        # address that is already its own network is shared, not copied.
+        prefix._set(
+            address if value == address._value else IPv4Address(value), length, mask
+        )
+        return prefix
 
     @property
     def network(self) -> IPv4Address:
@@ -123,14 +142,16 @@ class Prefix:
 
     @property
     def mask(self) -> int:
-        return _mask_for(self._length)
+        return self._mask
 
     @property
     def num_addresses(self) -> int:
         return 1 << (32 - self._length)
 
     def contains(self, address: "int | str | IPv4Address") -> bool:
-        return IPv4Address(address).value & self.mask == self._network.value
+        if isinstance(address, IPv4Address):
+            return address._value & self._mask == self._network._value
+        return IPv4Address(address)._value & self._mask == self._network._value
 
     def contains_prefix(self, other: "Prefix") -> bool:
         """True when ``other`` is fully inside this prefix."""
@@ -138,17 +159,20 @@ class Prefix:
 
     def addresses(self) -> Iterator[IPv4Address]:
         """Iterate every address in the prefix (small prefixes only)."""
-        base = self._network.value
+        base = self._network._value
         for offset in range(self.num_addresses):
             yield IPv4Address(base + offset)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Prefix):
-            return self._network == other._network and self._length == other._length
+            return (
+                self._network._value == other._network._value
+                and self._length == other._length
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._network, self._length))
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self._network}/{self._length}"
@@ -157,7 +181,14 @@ class Prefix:
         return f"Prefix.parse('{self}')"
 
 
-def _mask_for(length: int) -> int:
-    if length == 0:
-        return 0
-    return (_MAX_IPV4 << (32 - length)) & _MAX_IPV4
+#: Netmask by prefix length, ``/0`` to ``/32``.
+_MASKS: tuple[int, ...] = tuple(
+    (_MAX_IPV4 << (32 - length)) & _MAX_IPV4 for length in range(33)
+)
+
+
+def netmask(length: int) -> int:
+    """The netmask of a prefix length; lengths outside 0..32 are rejected."""
+    if not 0 <= length <= 32:
+        raise AddressError(f"prefix length out of range: {length}")
+    return _MASKS[length]

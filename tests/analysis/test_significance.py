@@ -1,6 +1,10 @@
 """Tests for the KS-based distribution comparison."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +63,15 @@ class TestMedianShift:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             median_shift([], [1.0])
+
+
+def test_importing_experiments_leaves_scipy_unloaded():
+    # scipy's import costs about a second; only ks_compare may pay it.
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, repro.experiments; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"

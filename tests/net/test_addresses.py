@@ -66,6 +66,17 @@ class TestPrefix:
         assert str(prefix) == "10.0.0.0/24"
         assert prefix.contains("10.0.0.77")
 
+    @pytest.mark.parametrize("length", [33, -1])
+    def test_containing_rejects_invalid_length(self, length):
+        # A named error, not the bare ValueError of a negative shift.
+        with pytest.raises(AddressError, match="prefix length out of range"):
+            Prefix.containing("10.0.0.1", length)
+
+    def test_containing_host_length(self):
+        prefix = Prefix.containing("10.0.0.1", 32)
+        assert prefix == Prefix.host("10.0.0.1")
+        assert prefix.mask == 0xFFFFFFFF
+
     def test_contains_boundaries(self):
         prefix = Prefix.parse("10.0.0.0/30")
         assert prefix.contains("10.0.0.0")
@@ -102,6 +113,19 @@ class TestPrefix:
         assert Prefix.parse("10.0.0.0/24") != Prefix.parse("10.0.0.0/25")
         assert len({Prefix.parse("10.0.0.0/24"), Prefix.parse("10.0.0.0/24")}) == 1
 
+    def test_equal_prefixes_from_every_constructor(self):
+        built = [
+            Prefix.parse("10.0.0.0/24"),
+            Prefix("10.0.0.0", 24),
+            Prefix(IPv4Address("10.0.0.0"), 24),
+            Prefix(0x0A000000, 24),
+            Prefix.containing("10.0.0.200", 24),
+        ]
+        assert all(p == built[0] and hash(p) == hash(built[0]) for p in built)
+
+    def test_not_equal_to_other_types(self):
+        assert Prefix.parse("10.0.0.0/24") != "10.0.0.0/24"
+
 
 addresses = st.integers(min_value=0, max_value=2**32 - 1)
 lengths = st.integers(min_value=0, max_value=32)
@@ -133,3 +157,21 @@ def test_shorter_prefix_contains_longer(value, short, long):
     outer = Prefix.containing(value, short)
     inner = Prefix.containing(value, long)
     assert outer.contains_prefix(inner)
+
+
+@given(value=addresses, length=lengths)
+def test_prefix_hash_is_network_length_tuple_hash(value, length):
+    # Sets of prefixes iterate in hash order; the hash must stay the one
+    # of the (network, length) pair.
+    prefix = Prefix.containing(value, length)
+    assert hash(prefix) == hash((prefix.network, prefix.length))
+
+
+@given(value=addresses, other=addresses, length=lengths)
+def test_contains_agrees_for_every_address_form(value, other, length):
+    prefix = Prefix.containing(value, length)
+    expected = (other >> (32 - length)) == (value >> (32 - length)) if length else True
+    address = IPv4Address(other)
+    assert prefix.contains(address) is expected
+    assert prefix.contains(other) is expected
+    assert prefix.contains(str(address)) is expected

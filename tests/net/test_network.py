@@ -132,3 +132,78 @@ class TestAttachment:
         fabric.attach(host)
         assert fabric.host_at(host.address) is host
         assert fabric.host_at(IPv4Address("10.0.0.2")) is None
+
+
+class TestPathCache:
+    """``send`` caches the resolved path per address pair."""
+
+    def test_zone_and_trunk_added_after_traffic_are_picked_up(self, sim, fabric):
+        a = FakeHost("10.0.0.1")
+        b = FakeHost("10.1.0.1")
+        c = FakeHost("10.2.0.1")
+        for host in (a, b, c):
+            fabric.attach(host)
+        fabric.send(Packet(a.address, b.address, 100))
+        with pytest.raises(NoRouteError):
+            fabric.send(Packet(a.address, c.address, 100))
+        zone_c = Prefix.parse("10.2.0.0/24")
+        fabric.add_zone(zone_c)
+        with pytest.raises(NoRouteError):
+            fabric.send(Packet(a.address, c.address, 100))
+        fabric.connect_zones(ZONE_A, zone_c, PathSpec(propagation_delay=0.010))
+        fabric.send(Packet(a.address, c.address, 100))
+        fabric.send(Packet(a.address, b.address, 100))
+        sim.run_until_idle()
+        assert len(b.received) == 2
+        assert len(c.received) == 1
+        assert fabric.link_from(ZONE_A, zone_c).stats.packets_offered == 1
+
+    def test_unresolvable_destination_raises_on_every_send(self, sim, fabric):
+        a = FakeHost("10.0.0.1")
+        fabric.attach(a)
+        for _ in range(3):
+            with pytest.raises(NoRouteError):
+                fabric.send(Packet(a.address, IPv4Address("192.168.0.1"), 100))
+            with pytest.raises(NoRouteError):
+                fabric.send(Packet(IPv4Address("192.168.0.1"), a.address, 100))
+
+    def test_unconnected_zones_raise_on_every_send(self, sim, streams):
+        network = Network(sim, streams)
+        network.add_zone(ZONE_A)
+        network.add_zone(ZONE_B)
+        for _ in range(3):
+            with pytest.raises(NoRouteError):
+                network.send(Packet(IPv4Address("10.0.0.1"), IPv4Address("10.1.0.1"), 100))
+
+    def test_down_trunk_drops_packets_on_a_cached_path(self, sim, fabric):
+        a = FakeHost("10.0.0.1")
+        b = FakeHost("10.1.0.1")
+        fabric.attach(a)
+        fabric.attach(b)
+        fabric.send(Packet(a.address, b.address, 100))
+        sim.run_until_idle()
+        trunk = fabric.trunk_between(ZONE_A, ZONE_B)
+        trunk.set_down()
+        fabric.send(Packet(a.address, b.address, 100))
+        sim.run_until_idle()
+        assert len(b.received) == 1
+        assert trunk.forward.stats.packets_dropped_down == 1
+        trunk.set_up()
+        fabric.send(Packet(a.address, b.address, 100))
+        sim.run_until_idle()
+        assert len(b.received) == 2
+
+    def test_repeated_intra_zone_delivery_stays_local(self, sim, fabric):
+        a1 = FakeHost("10.0.0.1")
+        a2 = FakeHost("10.0.0.2")
+        fabric.attach(a1)
+        fabric.attach(a2)
+        trunk = fabric.trunk_between(ZONE_A, ZONE_B)
+        for sent in range(1, 4):
+            fabric.send(Packet(a1.address, a2.address, 100))
+            fabric.send(Packet(a2.address, a1.address, 100))
+            sim.run_until_idle()
+            assert len(a1.received) == len(a2.received) == sent
+        assert sim.now < 0.001
+        assert trunk.forward.stats.packets_offered == 0
+        assert trunk.reverse.stats.packets_offered == 0
