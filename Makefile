@@ -24,12 +24,12 @@ typecheck:
 
 # Tracked perf baseline (kernel events/s, timer churn, full-stack
 # transfer, probe study, sweep, fluid step, hybrid agreement) ->
-# BENCH_004.json with ratios against the committed BENCH_003.json.
+# BENCH_005.json with ratios against the committed BENCH_004.json.
 bench:
 	PYTHONPATH=src $(PYTHON) -m repro bench
 
 # Same, but fail if kernel or fluid-step events/s regresses below
-# BENCH_003.json.
+# BENCH_004.json.
 bench-guard:
 	PYTHONPATH=src $(PYTHON) -m repro bench --guard
 

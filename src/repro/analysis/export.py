@@ -242,7 +242,7 @@ def flows_to_json(
     """
     records = flows.records(since=since, until=until)
     payload = {
-        "recorded": flows.next_id,
+        "recorded": flows.recorded,
         "retained": len(flows),
         "dropped": flows.dropped,
         "selected": len(records),

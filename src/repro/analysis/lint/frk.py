@@ -14,7 +14,9 @@ follow for every class reachable from an Instrumentation store:
   Instrumentation must implement ``merge_from``; a store that assigns
   dense ids (``self._next_id``) must renumber on merge (its
   ``merge_from`` reads *and* writes ``_next_id``), otherwise worker ids
-  collide and the serial-vs-parallel byte identity breaks.
+  collide and the serial-vs-parallel byte identity breaks.  Both facts
+  resolve through the base chain: a store that inherits its id writes
+  or its ``merge_from`` is judged by what it inherits.
 
 Both rules walk the project index: the crossing set is every class named
 ``Instrumentation``, the classes its ``__init__`` registers as stores,
@@ -151,7 +153,9 @@ class Frk002MergeContract(Rule):
             if key in reported:
                 continue
             reported.add(key)
-            if not self._has_merge_from(index, mod, cls):
+            chain = _base_chain(index, mod, cls)
+            merger = next((c for _, c in chain if c.has_merge_from), None)
+            if merger is None:
                 findings.append(
                     Finding(
                         code=self.code,
@@ -166,17 +170,19 @@ class Frk002MergeContract(Rule):
                     )
                 )
                 continue
-            if cls.writes_next_id and cls.has_merge_from and not (
-                cls.merge_reads_next_id and cls.merge_writes_next_id
+            writes_next_id = any(c.writes_next_id for _, c in chain)
+            if writes_next_id and not (
+                merger.merge_reads_next_id and merger.merge_writes_next_id
             ):
+                inherited = "" if merger is cls else f" (inherited from {merger.name})"
                 findings.append(
                     Finding(
                         code=self.code,
                         message=(
                             f"dense-id store {cls.name} assigns "
-                            "self._next_id but its merge_from does not "
-                            "renumber (read and advance _next_id); worker "
-                            "ids will collide with the parent's"
+                            f"self._next_id but its merge_from{inherited} "
+                            "does not renumber (read and advance _next_id); "
+                            "worker ids will collide with the parent's"
                         ),
                         path=mod.path,
                         line=cls.merge_from_line or cls.lineno,
@@ -184,16 +190,29 @@ class Frk002MergeContract(Rule):
                 )
         return findings
 
-    @staticmethod
-    def _has_merge_from(
-        index: ProjectIndex, mod: ModuleIndex, cls: ClassSummary
-    ) -> bool:
-        if cls.has_merge_from:
-            return True
+
+def _base_chain(
+    index: ProjectIndex, mod: ModuleIndex, cls: ClassSummary
+) -> list[tuple[ModuleIndex, ClassSummary]]:
+    """``cls`` then its resolvable bases, depth-first in MRO-like order.
+
+    A store inherits both its dense-id writes and its ``merge_from``
+    (e.g. from :class:`~repro.obs.store.BoundedLog`), so FRK002 judges
+    the facts of the whole chain, not the registered class alone.
+    """
+    chain: list[tuple[ModuleIndex, ClassSummary]] = []
+    seen: set[tuple[str, str]] = set()
+
+    def walk(mod: ModuleIndex, cls: ClassSummary) -> None:
+        key = (mod.path, cls.name)
+        if key in seen:
+            return
+        seen.add(key)
+        chain.append((mod, cls))
         for base_ref in cls.bases:
             resolved = index.resolve_class(mod, base_ref)
-            if resolved is not None and Frk002MergeContract._has_merge_from(
-                index, *resolved
-            ):
-                return True
-        return False
+            if resolved is not None:
+                walk(*resolved)
+
+    walk(mod, cls)
+    return chain

@@ -44,7 +44,7 @@ from repro.analysis.lint.det001 import (
 from repro.analysis.lint.det002 import ORDER_SENSITIVE_SINKS, _first_sink
 
 #: Bump when the summary shape changes; stale caches are discarded.
-INDEX_SCHEMA_VERSION = 1
+INDEX_SCHEMA_VERSION = 2
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 _TRANSPARENT = frozenset({"list", "tuple", "reversed", "enumerate", "iter"})
@@ -462,6 +462,13 @@ def _callee_ref(func: ast.expr) -> str | None:
     parts.append(node.id)
     parts.reverse()
     return ".".join(parts)
+
+
+def _base_ref(base: ast.expr) -> str | None:
+    """Textual reference of a base class; ``Log[T]`` names ``Log``."""
+    if isinstance(base, ast.Subscript):
+        base = base.value
+    return _callee_ref(base)
 
 
 def _hazard_reason(node: ast.expr) -> str | None:
@@ -1060,7 +1067,7 @@ def _index_class(mod: ModuleIndex, node: ast.ClassDef, tables: _SourceTables) ->
         name=node.name,
         lineno=node.lineno,
         bases=tuple(
-            ref for ref in (_callee_ref(base) for base in node.bases)
+            ref for ref in (_base_ref(base) for base in node.bases)
             if ref is not None
         ),
         methods=tuple(sorted(methods.items())),

@@ -34,10 +34,13 @@ them (:mod:`repro.obs.report`).  Experiments may be named by id
 ``alerts`` evaluates the burn-rate SLO engine's episode log into a
 report artifact (``--check`` additionally enforces the scenario's
 expected-alert contracts), and ``watch`` replays the captured stores as
-operator dashboard frames.  ``metrics``, ``flows``, ``report``,
-``alerts`` and ``watch`` accept ``--workers``; the worker captures
-merge deterministically, so their output is byte-identical to a serial
-run.
+operator dashboard frames.
+
+The five capture views (``metrics``, ``flows``, ``report``, ``alerts``,
+``watch``) share one argument set (``experiment_id``, ``--fast``,
+``--workers``, ``--json``) and one run path.  The worker captures merge
+deterministically and the wall-time line goes to stderr, so a view's
+stdout is byte-identical between runs and to a serial run.
 """
 
 from __future__ import annotations
@@ -82,9 +85,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list all registered experiments")
+    list_parser = subparsers.add_parser("list", help="list all registered experiments")
+    list_parser.set_defaults(func=_cmd_list)
 
     run_parser = subparsers.add_parser("run", help="run one experiment")
+    run_parser.set_defaults(func=_cmd_run)
     run_parser.add_argument(
         "experiment_id",
         nargs="?",
@@ -123,6 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the perf baseline and write it to a JSON file",
     )
+    bench_parser.set_defaults(func=_cmd_bench)
     bench_parser.add_argument(
         "--out",
         default=None,
@@ -174,6 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the determinism/sim-invariant static analyzer",
     )
+    lint_parser.set_defaults(func=_cmd_lint)
     lint_parser.add_argument(
         "paths",
         nargs="*",
@@ -226,6 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "tournament",
         help="race the window-policy zoo across scenarios; emit a leaderboard",
     )
+    tournament_parser.set_defaults(func=_cmd_tournament)
     tournament_parser.add_argument(
         "--policies",
         nargs="*",
@@ -270,6 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "faults",
         help="list the chaos fault scenarios and their timelines",
     )
+    faults_parser.set_defaults(func=_cmd_faults)
     faults_parser.add_argument(
         "--duration",
         type=float,
@@ -282,21 +291,22 @@ def _build_parser() -> argparse.ArgumentParser:
     describe_parser = subparsers.add_parser(
         "describe", help="show what an experiment reproduces"
     )
+    describe_parser.set_defaults(func=_cmd_describe)
     describe_parser.add_argument("experiment_id")
 
-    metrics_parser = subparsers.add_parser(
-        "metrics",
-        help="run an experiment and print its metric table and trace totals",
+    # The five capture views share their run arguments.
+    view = argparse.ArgumentParser(add_help=False)
+    view.add_argument(
+        "experiment_id",
+        help="experiment id or harness module name "
+        "(e.g. fig10, fig10_cmax_sweep, chaos_lossy_agent)",
     )
-    metrics_parser.add_argument(
-        "experiment_id", help="e.g. fig10 or fig10_cmax_sweep"
-    )
-    metrics_parser.add_argument(
+    view.add_argument(
         "--fast",
         action="store_true",
         help="reduced-scale run (smaller topology / fewer samples)",
     )
-    metrics_parser.add_argument(
+    view.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -304,11 +314,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fan independent simulation arms across N worker processes "
         "(output is byte-identical to serial)",
     )
-    metrics_parser.add_argument(
+    view.add_argument(
         "--json",
         action="store_true",
-        help="emit metrics and trace as JSON instead of tables",
+        help="emit the view as JSON instead of text",
     )
+
+    metrics_parser = subparsers.add_parser(
+        "metrics",
+        parents=[view],
+        help="run an experiment and print its metric table and trace totals",
+    )
+    metrics_parser.set_defaults(func=_cmd_metrics)
     metrics_parser.add_argument(
         "--prom",
         action="store_true",
@@ -328,29 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     flows_parser = subparsers.add_parser(
         "flows",
+        parents=[view],
         help="run an experiment and print its per-connection flow records",
     )
-    flows_parser.add_argument(
-        "experiment_id", help="e.g. fig12_14 or chaos_lossy_agent"
-    )
-    flows_parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="reduced-scale run (smaller topology / fewer samples)",
-    )
-    flows_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan independent simulation arms across N worker processes "
-        "(output is byte-identical to serial)",
-    )
-    flows_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the flow records as JSON instead of a summary table",
-    )
+    flows_parser.set_defaults(func=_cmd_flows)
     flows_parser.add_argument(
         "--jsonl",
         metavar="PATH",
@@ -373,29 +371,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report_parser = subparsers.add_parser(
         "report",
+        parents=[view],
         help="run an experiment and print its tail-latency attribution report",
     )
-    report_parser.add_argument(
-        "experiment_id", help="e.g. chaos_lossy_agent or fig12_14"
-    )
-    report_parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="reduced-scale run (smaller topology / fewer samples)",
-    )
-    report_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan independent simulation arms across N worker processes "
-        "(output is byte-identical to serial)",
-    )
-    report_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the report as JSON instead of text",
-    )
+    report_parser.set_defaults(func=_cmd_report)
     report_parser.add_argument(
         "--out",
         metavar="PATH",
@@ -429,29 +408,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     alerts_parser = subparsers.add_parser(
         "alerts",
+        parents=[view],
         help="run an experiment and print its SLO burn-rate alert report",
     )
-    alerts_parser.add_argument(
-        "experiment_id", help="e.g. chaos_lossy_agent or fig12_14"
-    )
-    alerts_parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="reduced-scale run (smaller topology / fewer samples)",
-    )
-    alerts_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan independent simulation arms across N worker processes "
-        "(output is byte-identical to serial)",
-    )
-    alerts_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the alert report as JSON instead of markdown",
-    )
+    alerts_parser.set_defaults(func=_cmd_alerts)
     alerts_parser.add_argument(
         "--out",
         metavar="PATH",
@@ -471,35 +431,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     watch_parser = subparsers.add_parser(
         "watch",
+        parents=[view],
         help="run an experiment and replay it as live operator frames",
     )
-    watch_parser.add_argument(
-        "experiment_id", help="e.g. chaos_lossy_agent or fig12_14"
-    )
-    watch_parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="reduced-scale run (smaller topology / fewer samples)",
-    )
-    watch_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan independent simulation arms across N worker processes "
-        "(the frames are byte-identical to serial)",
-    )
+    watch_parser.set_defaults(func=_cmd_watch)
     watch_parser.add_argument(
         "--interval",
         type=float,
         default=None,
         metavar="SECONDS",
         help="frame width in sim seconds (default: the SLO window, 5)",
-    )
-    watch_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the frames as JSON instead of the watch transcript",
     )
     watch_parser.add_argument(
         "--speed",
@@ -513,7 +454,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list() -> int:
+def _fail(message: str) -> int:
+    """Report a usage error on stderr; the exit code for it."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _write_artifact(path: str, text: str, what: str) -> None:
+    """Write one output artifact and say so on stderr."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"{what} written to {path}", file=sys.stderr)
+
+
+def _cmd_list(args: argparse.Namespace) -> int:
     for exp in list_experiments():
         kind = "simulation" if exp.simulation_backed else "model"
         extras = []
@@ -526,8 +480,8 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_describe(experiment_id: str) -> int:
-    exp = get_experiment(experiment_id)
+def _cmd_describe(args: argparse.Namespace) -> int:
+    exp = get_experiment(args.experiment_id)
     print(f"id:          {exp.experiment_id}")
     print(f"description: {exp.description}")
     print(f"backed by:   {'full simulation' if exp.simulation_backed else 'closed-form model'}")
@@ -588,6 +542,21 @@ def _fast_tournament_config(
     )
 
 
+def _run_kwargs(exp, fast: bool, workers: int) -> dict[str, object]:
+    """Keyword arguments for ``exp.run`` from ``--fast``/``--workers``."""
+    kwargs = _fast_kwargs(exp.experiment_id) if fast else {}
+    if workers > 1:
+        if exp.supports_workers:
+            kwargs["workers"] = workers
+        else:
+            print(
+                f"note: {exp.experiment_id} has no independent simulation "
+                "arms; running serially",
+                file=sys.stderr,
+            )
+    return kwargs
+
+
 def _cmd_run_list() -> int:
     """``run --list``: runnable experiments with their run-time surface."""
     print(f"{'experiment':<18} {'kind':<10} {'workers':<8} fault scenario")
@@ -607,25 +576,24 @@ def _cmd_run_list() -> int:
     return 0
 
 
-def _cmd_run(experiment_id: str, fast: bool, workers: int = 1) -> int:
-    exp = get_experiment(experiment_id)
-    kwargs = _fast_kwargs(experiment_id) if fast else {}
-    if workers > 1:
-        if exp.supports_workers:
-            kwargs["workers"] = workers
-        else:
-            print(
-                f"note: {experiment_id} has no independent simulation arms; "
-                "running serially",
-                file=sys.stderr,
-            )
+def _cmd_run(args: argparse.Namespace) -> int:
+    if args.list_experiments:
+        return _cmd_run_list()
+    if args.faults is not None:
+        if args.experiment_id is not None:
+            return _fail("give either an experiment id or --faults, not both")
+        return _cmd_run_faults(args.faults, args.fast, args.workers)
+    if args.experiment_id is None:
+        return _fail("run needs an experiment id (or --faults SCENARIO)")
+    exp = get_experiment(args.experiment_id)
+    kwargs = _run_kwargs(exp, args.fast, args.workers)
     if exp.simulation_backed:
-        print(f"running {experiment_id} (full simulation; this takes a while)...")
+        print(f"running {exp.experiment_id} (full simulation; this takes a while)...")
     started = time.perf_counter()
     result = exp.run(**kwargs)
     elapsed = time.perf_counter() - started
     print(result.report())
-    print(f"\n[{experiment_id} completed in {elapsed:.1f}s]")
+    print(f"\n[{exp.experiment_id} completed in {elapsed:.1f}s]")
     return 0
 
 
@@ -652,20 +620,13 @@ def _cmd_run_faults(scenario_name: str, fast: bool, workers: int) -> int:
     return 0
 
 
-def _cmd_tournament(
-    policies: list[str] | None,
-    scenarios: list[str] | None,
-    workers: int,
-    fast: bool,
-    out_path: str | None,
-    markdown_path: str | None,
-) -> int:
+def _cmd_tournament(args: argparse.Namespace) -> int:
     """Race the policy zoo; print and optionally write the leaderboard."""
     from repro.experiments.tournament import TournamentConfig, run_tournament
 
-    selected_policies = tuple(policies) if policies else ()
-    selected_scenarios = tuple(scenarios) if scenarios else ()
-    if fast:
+    selected_policies = tuple(args.policies) if args.policies else ()
+    selected_scenarios = tuple(args.scenarios) if args.scenarios else ()
+    if args.fast:
         config = _fast_tournament_config(selected_policies, selected_scenarios)
     else:
         config = TournamentConfig(
@@ -676,72 +637,57 @@ def _cmd_tournament(
             config.resolved_scenarios()
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _fail(str(error))
     print(
         f"running the policy tournament ({cell_count} cells; "
         "this takes a while)...",
         file=sys.stderr,
     )
     started = time.perf_counter()
-    result = run_tournament(config, workers=workers)
+    result = run_tournament(config, workers=args.workers)
     elapsed = time.perf_counter() - started
     print(result.to_markdown(), end="")
     print(f"\n[tournament completed in {elapsed:.1f}s]", file=sys.stderr)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json())
-        print(f"leaderboard artifact written to {out_path}", file=sys.stderr)
-    if markdown_path is not None:
-        with open(markdown_path, "w", encoding="utf-8") as handle:
-            handle.write(result.to_markdown())
-        print(f"leaderboard markdown written to {markdown_path}", file=sys.stderr)
+    if args.out is not None:
+        _write_artifact(args.out, result.to_json(), "leaderboard artifact")
+    if args.markdown is not None:
+        _write_artifact(args.markdown, result.to_markdown(), "leaderboard markdown")
     return 0
 
 
-def _cmd_lint(
-    paths: list[str],
-    as_json: bool,
-    output_format: str | None,
-    no_cache: bool,
-    baseline: str | None,
-    select: str | None,
-    ignore: str | None,
-    list_rules: bool,
-) -> int:
+def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.lint import ALL_RULES, LintUsageError, run_lint
 
-    if list_rules:
+    if args.list_rules:
         for rule in ALL_RULES:
             print(f"{rule.code}  {rule.summary}")
         return 0
+    paths = args.paths
     if not paths:
         if not os.path.isdir("src"):
-            print(
-                "error: no paths given and no src/ directory here",
-                file=sys.stderr,
-            )
-            return 2
+            return _fail("no paths given and no src/ directory here")
         paths = ["src"]
     def split(value: str | None) -> list[str] | None:
         if not value:
             return None
         return [code.strip().upper() for code in value.split(",") if code.strip()]
 
+    output_format = args.lint_format
     if output_format is None:
-        output_format = "json" if as_json else "text"
-    cache_path = None if no_cache else os.path.join(os.getcwd(), ".repro-lint-cache.json")
+        output_format = "json" if args.json else "text"
+    cache_path = (
+        None if args.no_cache else os.path.join(os.getcwd(), ".repro-lint-cache.json")
+    )
     try:
         result = run_lint(
             paths,
-            select=split(select),
-            ignore=split(ignore),
-            baseline_path=baseline,
+            select=split(args.select),
+            ignore=split(args.ignore),
+            baseline_path=args.baseline,
             cache_path=cache_path,
         )
     except LintUsageError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _fail(str(error))
     if output_format == "json":
         print(result.to_json())
     elif output_format == "github":
@@ -751,7 +697,7 @@ def _cmd_lint(
     return 0 if result.clean else 1
 
 
-def _cmd_faults(duration: float) -> int:
+def _cmd_faults(args: argparse.Namespace) -> int:
     """List the chaos scenarios with their fault timelines."""
     from repro.faults import CHAOS_SCENARIOS
 
@@ -763,36 +709,29 @@ def _cmd_faults(duration: float) -> int:
             f"headline target {scenario.target_pop})"
         )
         print(f"  {scenario.description}")
-        print(f"  timeline over {duration:g}s of probing:")
-        print(scenario.describe(duration))
+        print(f"  timeline over {args.duration:g}s of probing:")
+        print(scenario.describe(args.duration))
         print()
     print("run one with: python -m repro run --faults <scenario>")
     return 0
 
 
-def _run_captured(
-    experiment_id: str, fast: bool, workers: int = 1, what: str = "metrics"
-):
-    """Run one experiment under an instrumentation capture.
+def _run_view(args: argparse.Namespace, what: str):
+    """Run one view's experiment under an instrumentation capture.
 
-    The capture uses the default capacities — the same ones parallel
-    workers capture under — so the merged stores (and everything derived
-    from them) are byte-identical between serial and ``--workers N``.
+    Resolves ``args.experiment_id`` in place (harness module names are
+    accepted).  The capture uses the default capacities, the same ones
+    parallel workers capture under, so the merged stores and everything
+    derived from them are byte-identical between serial and
+    ``--workers N``.  The wall time and any trace truncation go to
+    stderr, keeping stdout deterministic.
     """
-    exp = get_experiment(experiment_id)
-    kwargs = _fast_kwargs(experiment_id) if fast else {}
-    if workers > 1:
-        if exp.supports_workers:
-            kwargs["workers"] = workers
-        else:
-            print(
-                f"note: {experiment_id} has no independent simulation arms; "
-                "running serially",
-                file=sys.stderr,
-            )
+    args.experiment_id = _normalize_experiment_id(args.experiment_id)
+    exp = get_experiment(args.experiment_id)
+    kwargs = _run_kwargs(exp, args.fast, args.workers)
     if exp.simulation_backed:
         print(
-            f"running {experiment_id} under {what} capture "
+            f"running {exp.experiment_id} under {what} capture "
             "(full simulation; this takes a while)...",
             file=sys.stderr,
         )
@@ -800,10 +739,7 @@ def _run_captured(
     with capture() as instrumentation:
         exp.run(**kwargs)
     elapsed = time.perf_counter() - started
-    return instrumentation, elapsed
-
-
-def _warn_trace_truncation(instrumentation) -> None:
+    print(f"\n[{exp.experiment_id} completed in {elapsed:.1f}s]", file=sys.stderr)
     dropped = instrumentation.trace.dropped
     if dropped > 0:
         print(
@@ -811,38 +747,34 @@ def _warn_trace_truncation(instrumentation) -> None:
             f"(retained {len(instrumentation.trace)}); totals stay exact",
             file=sys.stderr,
         )
+    return instrumentation
 
 
-def _cmd_metrics(
-    experiment_id: str,
-    fast: bool,
-    workers: int,
-    as_json: bool,
-    as_prom: bool,
-    csv_path: str | None,
-    trace_csv_path: str | None,
-) -> int:
+def _cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis.export import metrics_to_csv, metrics_to_json, trace_to_json
+    from repro.analysis.export import (
+        metrics_to_csv,
+        metrics_to_json,
+        metrics_to_prometheus,
+        trace_to_csv,
+        trace_to_json,
+    )
 
-    if as_json and as_prom:
-        print("error: give either --json or --prom, not both", file=sys.stderr)
-        return 2
-    instrumentation, elapsed = _run_captured(experiment_id, fast, workers)
-    if as_prom:
-        from repro.analysis.export import metrics_to_prometheus
-
+    if args.json and args.prom:
+        return _fail("give either --json or --prom, not both")
+    instrumentation = _run_view(args, "metrics")
+    if args.prom:
         print(metrics_to_prometheus(instrumentation.metrics), end="")
-    elif as_json:
+    elif args.json:
         payload = {
-            "experiment": experiment_id,
+            "experiment": args.experiment_id,
             "metrics": json.loads(metrics_to_json(instrumentation.metrics)),
             "trace": json.loads(trace_to_json(instrumentation.trace)),
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"== metrics: {experiment_id} ==")
+        print(f"== metrics: {args.experiment_id} ==")
         print(instrumentation.metrics.render_table())
         totals = instrumentation.trace.totals()
         if totals:
@@ -852,37 +784,21 @@ def _cmd_metrics(
                 totals.items(), key=lambda item: item[0].value
             ):
                 print(f"{event_type.value:<{width}}  {count}")
-        print(f"\n[{experiment_id} completed in {elapsed:.1f}s]")
-    _warn_trace_truncation(instrumentation)
-    if csv_path is not None:
-        from repro.analysis.export import write_csv
-
-        write_csv(csv_path, metrics_to_csv(instrumentation.metrics))
-        print(f"metrics CSV written to {csv_path}", file=sys.stderr)
-    if trace_csv_path is not None:
-        from repro.analysis.export import trace_to_csv, write_csv
-
-        write_csv(trace_csv_path, trace_to_csv(instrumentation.trace))
-        print(f"trace CSV written to {trace_csv_path}", file=sys.stderr)
+    if args.csv is not None:
+        _write_artifact(args.csv, metrics_to_csv(instrumentation.metrics), "metrics CSV")
+    if args.trace_csv is not None:
+        _write_artifact(
+            args.trace_csv, trace_to_csv(instrumentation.trace), "trace CSV"
+        )
     return 0
 
 
-def _cmd_flows(
-    experiment_id: str,
-    fast: bool,
-    workers: int,
-    as_json: bool,
-    jsonl_path: str | None,
-    since: float | None = None,
-    until: float | None = None,
-) -> int:
+def _cmd_flows(args: argparse.Namespace) -> int:
     from repro.analysis.export import flows_to_json, flows_to_jsonl
 
-    instrumentation, elapsed = _run_captured(
-        experiment_id, fast, workers, what="flow"
-    )
-    flows = instrumentation.flows
-    if as_json:
+    since, until = args.since, args.until
+    flows = _run_view(args, "flow").flows
+    if args.json:
         print(flows_to_json(flows, since=since, until=until))
     else:
         records = flows.records(since=since, until=until)
@@ -892,9 +808,9 @@ def _cmd_flows(
         for record in records:
             by_source[record.cwnd_source] = by_source.get(record.cwnd_source, 0) + 1
             by_state[record.final_state] = by_state.get(record.final_state, 0) + 1
-        print(f"== flow records: {experiment_id} ==")
+        print(f"== flow records: {args.experiment_id} ==")
         print(
-            f"recorded: {flows.next_id}  retained: {len(flows)}  "
+            f"recorded: {flows.recorded}  retained: {len(flows)}  "
             f"dropped: {flows.dropped}"
         )
         if since is not None or until is not None:
@@ -912,69 +828,45 @@ def _cmd_flows(
             "final state: "
             + "  ".join(f"{k}={v}" for k, v in sorted(by_state.items()))
         )
-        print(f"\n[{experiment_id} completed in {elapsed:.1f}s]")
-    _warn_trace_truncation(instrumentation)
-    if jsonl_path is not None:
-        with open(jsonl_path, "w", encoding="utf-8") as handle:
-            handle.write(flows_to_jsonl(flows, since=since, until=until))
-        print(f"flow records written to {jsonl_path}", file=sys.stderr)
+    if args.jsonl is not None:
+        _write_artifact(
+            args.jsonl,
+            flows_to_jsonl(flows, since=since, until=until),
+            "flow records",
+        )
     return 0
 
 
-def _cmd_report(
-    experiment_id: str,
-    fast: bool,
-    workers: int,
-    as_json: bool,
-    out_path: str | None,
-    spans_path: str | None,
-    timeline_csv_path: str | None,
-    since: float | None = None,
-    until: float | None = None,
-) -> int:
-    from repro.analysis.export import (
-        spans_to_chrome_json,
-        timeline_to_csv,
-        write_csv,
-    )
+def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis.export import spans_to_chrome_json, timeline_to_csv
     from repro.obs.report import build_report, render_report, report_to_json
 
-    instrumentation, elapsed = _run_captured(
-        experiment_id, fast, workers, what="report"
-    )
+    instrumentation = _run_view(args, "report")
     report = build_report(
-        instrumentation, experiment=experiment_id, since=since, until=until
+        instrumentation,
+        experiment=args.experiment_id,
+        since=args.since,
+        until=args.until,
     )
-    if as_json:
-        print(report_to_json(report))
-    else:
-        print(render_report(report))
-        print(f"\n[{experiment_id} completed in {elapsed:.1f}s]")
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(report_to_json(report))
-            handle.write("\n")
-        print(f"report JSON written to {out_path}", file=sys.stderr)
-    if spans_path is not None:
-        with open(spans_path, "w", encoding="utf-8") as handle:
-            handle.write(spans_to_chrome_json(instrumentation.spans))
-            handle.write("\n")
-        print(f"Chrome trace written to {spans_path}", file=sys.stderr)
-    if timeline_csv_path is not None:
-        write_csv(timeline_csv_path, timeline_to_csv(instrumentation.timeline))
-        print(f"timeline CSV written to {timeline_csv_path}", file=sys.stderr)
+    print(report_to_json(report) if args.json else render_report(report))
+    if args.out is not None:
+        _write_artifact(args.out, report_to_json(report) + "\n", "report JSON")
+    if args.spans is not None:
+        _write_artifact(
+            args.spans,
+            spans_to_chrome_json(instrumentation.spans) + "\n",
+            "Chrome trace",
+        )
+    if args.timeline_csv is not None:
+        _write_artifact(
+            args.timeline_csv,
+            timeline_to_csv(instrumentation.timeline),
+            "timeline CSV",
+        )
     return 0
 
 
-def _cmd_alerts(
-    experiment_id: str,
-    fast: bool,
-    workers: int,
-    as_json: bool,
-    out_path: str | None,
-    markdown_path: str | None,
-    check: bool,
-) -> int:
+def _cmd_alerts(args: argparse.Namespace) -> int:
     from repro.obs.slo import (
         alert_report_to_json,
         alert_report_to_markdown,
@@ -982,39 +874,34 @@ def _cmd_alerts(
         source_matches_arm,
     )
 
-    instrumentation, elapsed = _run_captured(
-        experiment_id, fast, workers, what="alert"
-    )
+    instrumentation = _run_view(args, "alert")
     report = build_alert_report(
-        instrumentation.alerts, experiment=experiment_id
+        instrumentation.alerts, experiment=args.experiment_id
     )
-    if as_json:
+    if args.json:
         print(alert_report_to_json(report), end="")
     else:
         print(alert_report_to_markdown(report), end="")
-        print(f"\n[{experiment_id} completed in {elapsed:.1f}s]", file=sys.stderr)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(alert_report_to_json(report))
-        print(f"alert report JSON written to {out_path}", file=sys.stderr)
-    if markdown_path is not None:
-        with open(markdown_path, "w", encoding="utf-8") as handle:
-            handle.write(alert_report_to_markdown(report))
-        print(f"alert report markdown written to {markdown_path}", file=sys.stderr)
-    if not check:
+    if args.out is not None:
+        _write_artifact(args.out, alert_report_to_json(report), "alert report JSON")
+    if args.markdown is not None:
+        _write_artifact(
+            args.markdown,
+            alert_report_to_markdown(report),
+            "alert report markdown",
+        )
+    if not args.check:
         return 0
 
     from repro.experiments.chaos import check_expected_alert
     from repro.faults import get_scenario
 
-    exp = get_experiment(experiment_id)
+    exp = get_experiment(args.experiment_id)
     if exp.fault_scenario is None:
-        print(
-            f"error: --check needs an experiment with a fault scenario; "
-            f"{experiment_id} has none",
-            file=sys.stderr,
+        return _fail(
+            f"--check needs an experiment with a fault scenario; "
+            f"{args.experiment_id} has none"
         )
-        return 2
     scenario = get_scenario(exp.fault_scenario)
     if not scenario.expected_alerts:
         print(
@@ -1042,14 +929,7 @@ def _cmd_alerts(
     return 1 if failures else 0
 
 
-def _cmd_watch(
-    experiment_id: str,
-    fast: bool,
-    workers: int,
-    interval: float | None,
-    as_json: bool,
-    speed: float,
-) -> int:
+def _cmd_watch(args: argparse.Namespace) -> int:
     from repro.analysis.watch import (
         build_watch_frames,
         render_frame,
@@ -1058,40 +938,27 @@ def _cmd_watch(
     )
     from repro.obs.slo import DEFAULT_SLO_WINDOW
 
-    width = interval if interval is not None else DEFAULT_SLO_WINDOW
+    width = args.interval if args.interval is not None else DEFAULT_SLO_WINDOW
     if width <= 0.0:
-        print(f"error: --interval must be > 0, got {width:g}", file=sys.stderr)
-        return 2
-    if speed < 0.0:
-        print(f"error: --speed must be >= 0, got {speed:g}", file=sys.stderr)
-        return 2
-    instrumentation, elapsed = _run_captured(
-        experiment_id, fast, workers, what="watch"
-    )
+        return _fail(f"--interval must be > 0, got {width:g}")
+    if args.speed < 0.0:
+        return _fail(f"--speed must be >= 0, got {args.speed:g}")
+    instrumentation = _run_view(args, "watch")
     frames = build_watch_frames(instrumentation, interval=width)
-    if as_json:
-        print(watch_frames_to_json(frames, experiment=experiment_id))
-    elif speed > 0.0:
+    if args.json:
+        print(watch_frames_to_json(frames, experiment=args.experiment_id))
+    elif args.speed > 0.0:
         # Paced replay: identical frame lines, wall-clock spacing only.
-        print(f"== watch: {experiment_id} ({len(frames)} frames) ==")
+        print(f"== watch: {args.experiment_id} ({len(frames)} frames) ==")
         for frame in frames:
             print(render_frame(frame), flush=True)
-            time.sleep(width / speed)
+            time.sleep(width / args.speed)
     else:
-        print(render_watch(frames, experiment=experiment_id))
-    print(f"\n[{experiment_id} completed in {elapsed:.1f}s]", file=sys.stderr)
+        print(render_watch(frames, experiment=args.experiment_id))
     return 0
 
 
-def _cmd_bench(
-    out: str | None,
-    workers: int,
-    seeds: int,
-    smoke: bool,
-    baseline: str | None,
-    guard: bool,
-    guard_min_ratio: float,
-) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import (
         DEFAULT_BASELINE,
         DEFAULT_OUTPUT,
@@ -1102,24 +969,24 @@ def _cmd_bench(
         write_bench,
     )
 
-    baseline_path = baseline if baseline is not None else DEFAULT_BASELINE
+    baseline_path = args.baseline if args.baseline is not None else DEFAULT_BASELINE
     print("running perf baseline (this takes a while)...", file=sys.stderr)
     payload = run_bench(
-        workers=workers, seeds=seeds, smoke=smoke, baseline_path=baseline_path
+        workers=args.workers,
+        seeds=args.seeds,
+        smoke=args.smoke,
+        baseline_path=baseline_path,
     )
-    path = write_bench(payload, out if out is not None else DEFAULT_OUTPUT)
+    path = write_bench(payload, args.out if args.out is not None else DEFAULT_OUTPUT)
     print(format_bench(payload))
     print(f"\nbench written to {path}", file=sys.stderr)
-    if guard:
+    if args.guard:
         prior = load_baseline(baseline_path)
         if prior is None:
-            print(
-                f"error: --guard needs a readable baseline artifact at "
-                f"{baseline_path}",
-                file=sys.stderr,
+            return _fail(
+                f"--guard needs a readable baseline artifact at {baseline_path}"
             )
-            return 2
-        failures = guard_regression(payload, prior, min_ratio=guard_min_ratio)
+        failures = guard_regression(payload, prior, min_ratio=args.guard_min_ratio)
         for failure in failures:
             print(f"bench guard: {failure}", file=sys.stderr)
         if failures:
@@ -1133,137 +1000,10 @@ def _cmd_bench(
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "describe":
-        return _cmd_describe(args.experiment_id)
-    if args.command == "tournament":
-        return _cmd_tournament(
-            args.policies,
-            args.scenarios,
-            args.workers,
-            args.fast,
-            args.out,
-            args.markdown,
-        )
-    if args.command == "run":
-        try:
-            if args.list_experiments:
-                return _cmd_run_list()
-            if args.faults is not None:
-                if args.experiment_id is not None:
-                    print(
-                        "error: give either an experiment id or --faults, "
-                        "not both",
-                        file=sys.stderr,
-                    )
-                    return 2
-                return _cmd_run_faults(args.faults, args.fast, args.workers)
-            if args.experiment_id is None:
-                print(
-                    "error: run needs an experiment id (or --faults SCENARIO)",
-                    file=sys.stderr,
-                )
-                return 2
-            return _cmd_run(args.experiment_id, args.fast, args.workers)
-        except KeyError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "lint":
-        return _cmd_lint(
-            args.paths,
-            args.json,
-            args.lint_format,
-            args.no_cache,
-            args.baseline,
-            args.select,
-            args.ignore,
-            args.list_rules,
-        )
-    if args.command == "faults":
-        return _cmd_faults(args.duration)
-    if args.command == "bench":
-        return _cmd_bench(
-            args.out,
-            args.workers,
-            args.seeds,
-            args.smoke,
-            args.baseline,
-            args.guard,
-            args.guard_min_ratio,
-        )
-    if args.command == "metrics":
-        try:
-            return _cmd_metrics(
-                _normalize_experiment_id(args.experiment_id),
-                args.fast,
-                args.workers,
-                args.json,
-                args.prom,
-                args.csv,
-                args.trace_csv,
-            )
-        except KeyError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "alerts":
-        try:
-            return _cmd_alerts(
-                _normalize_experiment_id(args.experiment_id),
-                args.fast,
-                args.workers,
-                args.json,
-                args.out,
-                args.markdown,
-                args.check,
-            )
-        except KeyError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "watch":
-        try:
-            return _cmd_watch(
-                _normalize_experiment_id(args.experiment_id),
-                args.fast,
-                args.workers,
-                args.interval,
-                args.json,
-                args.speed,
-            )
-        except KeyError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "flows":
-        try:
-            return _cmd_flows(
-                _normalize_experiment_id(args.experiment_id),
-                args.fast,
-                args.workers,
-                args.json,
-                args.jsonl,
-                args.since,
-                args.until,
-            )
-        except KeyError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "report":
-        try:
-            return _cmd_report(
-                _normalize_experiment_id(args.experiment_id),
-                args.fast,
-                args.workers,
-                args.json,
-                args.out,
-                args.spans,
-                args.timeline_csv,
-                args.since,
-                args.until,
-            )
-        except KeyError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    raise AssertionError("unreachable: argparse enforces the command set")
+    try:
+        return args.func(args)
+    except KeyError as error:  # unknown experiment or scenario id
+        return _fail(str(error))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -8,7 +8,9 @@ time-series store (:mod:`repro.obs.tsdb`), the burn-rate SLO engine
 (:mod:`repro.obs.slo`), the tail-latency attribution report
 (:mod:`repro.obs.report`), the learned-table/route-table consistency
 auditor (:mod:`repro.obs.audit`), and the per-simulator wiring
-(:mod:`repro.obs.instrument`).  See the "Observability" section of
+(:mod:`repro.obs.instrument`).  The flow, span, timeline, tsdb and
+alert stores share one bounded drop-newest base
+(:mod:`repro.obs.store`).  See the "Observability" section of
 ``docs/ARCHITECTURE.md`` for the metric-name reference and the
 attribution-cause taxonomy.
 """

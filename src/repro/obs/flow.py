@@ -16,12 +16,14 @@ establishment, slow-start exit, teardown) and collected on the run's
 drop-*newest*: once ``capacity`` records are retained, later flows are
 counted in ``dropped`` but not stored, so a serial run and a merged
 parallel run retain exactly the same prefix of flows (see
-:meth:`FlowLog.merge_from`).
+:class:`~repro.obs.store.BoundedLog`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.obs.store import BoundedLog
 
 
 @dataclass(slots=True)
@@ -98,20 +100,18 @@ class FlowRecord:
         }
 
 
-class FlowLog:
+class FlowLog(BoundedLog[FlowRecord]):
     """All flow records of one run, bounded drop-newest.
 
     Flow ids are dense (0, 1, 2, ...) in begin order and keep counting
-    past capacity, so ``next_id`` is the total number of flows ever
-    begun and ``dropped`` falls out as ``next_id - retained``.
+    past capacity, so ``recorded`` is the total number of flows ever
+    begun.
     """
 
+    __slots__ = ()
+
     def __init__(self, capacity: int = 100_000) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._records: list[FlowRecord] = []
-        self._next_id = 0
+        super().__init__(capacity)
 
     def begin(
         self,
@@ -130,9 +130,8 @@ class FlowLog:
         Returns None past capacity (the flow is counted, not stored);
         callers must tolerate a None handle.
         """
-        flow_id = self._next_id
-        self._next_id += 1
-        if len(self._records) >= self.capacity:
+        flow_id = self._admit()
+        if flow_id is None:
             return None
         record = FlowRecord(
             flow_id=flow_id,
@@ -146,35 +145,11 @@ class FlowLog:
             initial_cwnd=initial_cwnd,
             cwnd_source=cwnd_source,
         )
-        self._records.append(record)
+        self._items.append(record)
         return record
 
-    def merge_from(self, other: "FlowLog") -> None:
-        """Fold another log's flows into this one, byte-identically.
-
-        The other log's ids are renumbered by this log's ``next_id``
-        offset, reproducing the dense ids a serial run recording both
-        workloads in task order would have assigned; its retained
-        records append until this log's capacity, so the retained prefix
-        (and the dropped count) also match the serial run exactly.
-        """
-        offset = self._next_id
-        room = self.capacity - len(self._records)
-        for index, record in enumerate(other._records):
-            record.flow_id += offset
-            if index < room:
-                self._records.append(record)
-        self._next_id = offset + other._next_id
-
-    @property
-    def next_id(self) -> int:
-        """Total flows ever begun (dense ids make this the next id)."""
-        return self._next_id
-
-    @property
-    def dropped(self) -> int:
-        """Flows begun past capacity and therefore not retained."""
-        return self._next_id - len(self._records)
+    def _renumber(self, item: FlowRecord, offset: int) -> None:
+        item.flow_id += offset
 
     def records(
         self,
@@ -191,7 +166,7 @@ class FlowLog:
         extends to the end of the run.
         """
         selected = []
-        for record in self._records:
+        for record in self._items:
             if host is not None and record.host != host:
                 continue
             if is_client is not None and record.is_client != is_client:
@@ -208,12 +183,3 @@ class FlowLog:
                 continue
             selected.append(record)
         return selected
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __repr__(self) -> str:
-        return (
-            f"<FlowLog retained={len(self._records)}/{self.capacity} "
-            f"begun={self._next_id} dropped={self.dropped}>"
-        )

@@ -43,23 +43,14 @@ from repro.obs.tsdb import WindowedStore
 class Instrumentation:
     """The metrics, traces, flows, spans, timeline and tsdb of one run."""
 
-    def __init__(
-        self,
-        trace_capacity: int = 10_000,
-        enabled: bool = True,
-        flow_capacity: int = 100_000,
-        span_capacity: int = 200_000,
-        timeline_capacity: int = 200_000,
-        tsdb_capacity: int = 500_000,
-        alert_capacity: int = 50_000,
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.metrics = MetricsRegistry()
-        self.trace = TraceLog(capacity=trace_capacity)
-        self.flows = FlowLog(capacity=flow_capacity)
-        self.spans = SpanLog(capacity=span_capacity)
-        self.timeline = Timeline(capacity=timeline_capacity)
-        self.tsdb = WindowedStore(capacity=tsdb_capacity)
-        self.alerts = AlertLog(capacity=alert_capacity)
+        self.trace = TraceLog()
+        self.flows = FlowLog()
+        self.spans = SpanLog()
+        self.timeline = Timeline()
+        self.tsdb = WindowedStore()
+        self.alerts = AlertLog()
         #: When False, components skip instrumentation on their hot paths.
         #: The registry still works (handles can be created and read) so
         #: nothing needs to special-case a disabled run.
@@ -106,9 +97,9 @@ def instrumentation_for_new_simulator() -> Instrumentation:
 
 
 @contextmanager
-def capture(trace_capacity: int = 10_000, **capacities: int) -> Iterator[Instrumentation]:
+def capture() -> Iterator[Instrumentation]:
     """Aggregate all simulators created in the block into one instrumentation."""
-    instrumentation = Instrumentation(trace_capacity=trace_capacity, **capacities)
+    instrumentation = Instrumentation()
     _active.append(instrumentation)
     try:
         yield instrumentation

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.span import Span, SpanLog
+from repro.obs.store import BoundedLog
 from repro.obs.trace import EventType, TraceLog
 from repro.obs.tsdb import WindowedStore
 
@@ -276,17 +277,13 @@ class AlertEpisode:
         }
 
 
-class AlertLog:
+class AlertLog(BoundedLog[AlertEpisode]):
     """All alert episodes of one run, bounded drop-newest, dense ids."""
 
-    __slots__ = ("capacity", "_episodes", "_next_id")
+    __slots__ = ()
 
     def __init__(self, capacity: int = 50_000) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._episodes: list[AlertEpisode] = []
-        self._next_id = 0
+        super().__init__(capacity)
 
     def begin(
         self,
@@ -297,9 +294,8 @@ class AlertLog:
         rule: BurnRateRule,
     ) -> AlertEpisode | None:
         """Open an episode at pending.  None past capacity (still counted)."""
-        alert_id = self._next_id
-        self._next_id += 1
-        if len(self._episodes) >= self.capacity:
+        alert_id = self._admit()
+        if alert_id is None:
             return None
         episode = AlertEpisode(
             alert_id=alert_id,
@@ -311,18 +307,11 @@ class AlertLog:
             short_window=rule.short_window,
             pending_at=time,
         )
-        self._episodes.append(episode)
+        self._items.append(episode)
         return episode
 
-    def merge_from(self, other: "AlertLog") -> None:
-        """Fold another log's episodes in, renumbered byte-identically."""
-        offset = self._next_id
-        room = self.capacity - len(self._episodes)
-        for index, episode in enumerate(other._episodes):
-            episode.alert_id += offset
-            if index < room:
-                self._episodes.append(episode)
-        self._next_id = offset + other._next_id
+    def _renumber(self, item: AlertEpisode, offset: int) -> None:
+        item.alert_id += offset
 
     def episodes(
         self,
@@ -332,7 +321,7 @@ class AlertLog:
     ) -> list[AlertEpisode]:
         """Retained episodes in begin order, optionally filtered."""
         selected = []
-        for episode in self._episodes:
+        for episode in self._items:
             if slo is not None and episode.slo != slo:
                 continue
             if source is not None and episode.source != source:
@@ -343,31 +332,12 @@ class AlertLog:
         return selected
 
     @property
-    def next_id(self) -> int:
-        """Total episodes ever begun."""
-        return self._next_id
-
-    @property
-    def dropped(self) -> int:
-        return self._next_id - len(self._episodes)
-
-    @property
     def fired_count(self) -> int:
-        return sum(1 for e in self._episodes if e.fired)
+        return sum(1 for e in self._items if e.fired)
 
     @property
     def resolved_count(self) -> int:
-        return sum(1 for e in self._episodes if e.resolved)
-
-    def __len__(self) -> int:
-        return len(self._episodes)
-
-    def __repr__(self) -> str:
-        return (
-            f"<AlertLog retained={len(self._episodes)}/{self.capacity} "
-            f"begun={self._next_id} fired={self.fired_count} "
-            f"resolved={self.resolved_count} dropped={self.dropped}>"
-        )
+        return sum(1 for e in self._items if e.resolved)
 
 
 class _AlertState:
@@ -636,7 +606,7 @@ def build_alert_report(
         "slos": by_slo,
         "episodes": [e.to_dict() for e in episodes],
         "counts": {
-            "recorded": alerts.next_id,
+            "recorded": alerts.recorded,
             "retained": len(alerts),
             "dropped": alerts.dropped,
             "fired": alerts.fired_count,

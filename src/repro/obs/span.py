@@ -12,14 +12,17 @@ microsecond ``ts``/``dur``, spans still open at the end of a run become
 ``"B"`` (begin) events.  Each distinct span source gets its own track
 (``tid``), so a Perfetto timeline shows one lane per host/component.
 
-Like :class:`~repro.obs.flow.FlowLog`, the log is bounded drop-newest
-with dense ids, so :meth:`SpanLog.merge_from` renumbers and reproduces a
-serial run's retained spans exactly.
+Like :class:`~repro.obs.flow.FlowLog`, the log is a
+:class:`~repro.obs.store.BoundedLog`: bounded drop-newest with dense
+ids, so merging renumbers span *and* parent ids and reproduces a serial
+run's retained spans exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.obs.store import BoundedLog
 
 
 @dataclass(slots=True)
@@ -48,15 +51,13 @@ class Span:
         return default
 
 
-class SpanLog:
+class SpanLog(BoundedLog[Span]):
     """All spans of one run, bounded drop-newest with dense ids."""
 
+    __slots__ = ()
+
     def __init__(self, capacity: int = 200_000) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._spans: list[Span] = []
-        self._next_id = 0
+        super().__init__(capacity)
 
     def begin(
         self,
@@ -68,9 +69,8 @@ class SpanLog:
         **details: object,
     ) -> Span | None:
         """Open a span.  Returns None past capacity (counted, not stored)."""
-        span_id = self._next_id
-        self._next_id += 1
-        if len(self._spans) >= self.capacity:
+        span_id = self._admit()
+        if span_id is None:
             return None
         span = Span(
             span_id=span_id,
@@ -81,7 +81,7 @@ class SpanLog:
             parent_id=parent.span_id if parent is not None else None,
             details=tuple(details.items()),
         )
-        self._spans.append(span)
+        self._items.append(span)
         return span
 
     def end(self, span: Span | None, time: float, **details: object) -> None:
@@ -96,33 +96,10 @@ class SpanLog:
         if details:
             span.details = span.details + tuple(details.items())
 
-    def merge_from(self, other: "SpanLog") -> None:
-        """Fold another log's spans into this one, byte-identically.
-
-        Span ids *and* parent references are renumbered by this log's
-        ``next_id`` offset — the ids a serial run beginning the same
-        spans in task order would have assigned — and retained spans
-        append until capacity (drop-newest, matching serial retention).
-        """
-        offset = self._next_id
-        room = self.capacity - len(self._spans)
-        for index, span in enumerate(other._spans):
-            span.span_id += offset
-            if span.parent_id is not None:
-                span.parent_id += offset
-            if index < room:
-                self._spans.append(span)
-        self._next_id = offset + other._next_id
-
-    @property
-    def next_id(self) -> int:
-        """Total spans ever begun."""
-        return self._next_id
-
-    @property
-    def dropped(self) -> int:
-        """Spans begun past capacity and therefore not retained."""
-        return self._next_id - len(self._spans)
+    def _renumber(self, item: Span, offset: int) -> None:
+        item.span_id += offset
+        if item.parent_id is not None:
+            item.parent_id += offset
 
     def spans(
         self,
@@ -132,7 +109,7 @@ class SpanLog:
     ) -> list[Span]:
         """Retained spans, optionally filtered."""
         selected = []
-        for span in self._spans:
+        for span in self._items:
             if category is not None and span.category != category:
                 continue
             if source is not None and span.source != source:
@@ -152,11 +129,11 @@ class SpanLog:
         tids = {
             source: tid
             for tid, source in enumerate(
-                sorted({span.source for span in self._spans}), start=1
+                sorted({span.source for span in self._items}), start=1
             )
         }
         events: list[dict[str, object]] = []
-        for span in self._spans:
+        for span in self._items:
             args: dict[str, object] = {"span_id": span.span_id}
             if span.parent_id is not None:
                 args["parent_id"] = span.parent_id
@@ -174,13 +151,3 @@ class SpanLog:
                 event["dur"] = (span.end - span.begin) * 1e6
             events.append(event)
         return events
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    def __repr__(self) -> str:
-        open_count = sum(1 for span in self._spans if span.end is None)
-        return (
-            f"<SpanLog retained={len(self._spans)}/{self.capacity} "
-            f"begun={self._next_id} open={open_count} dropped={self.dropped}>"
-        )

@@ -8,14 +8,17 @@ windows, installed-route counts, active-fault counts — recorded by a
 sampler (:class:`~repro.cdn.monitors.TimelineSampler`) and exportable as
 long-format CSV.
 
-The store is bounded drop-newest with a total-recorded counter, so
-merging per-worker timelines in task order reproduces a serial run's
-retained points exactly (same scheme as :class:`~repro.obs.flow.FlowLog`).
+The store is a :class:`~repro.obs.store.BoundedLog` (bounded
+drop-newest with a total-recorded counter), so merging per-worker
+timelines in task order reproduces a serial run's retained points
+exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.obs.store import BoundedLog
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,36 +31,18 @@ class TimelinePoint:
     value: float
 
 
-class Timeline:
+class Timeline(BoundedLog[TimelinePoint]):
     """All timeline points of one run, bounded drop-newest."""
 
+    __slots__ = ()
+
     def __init__(self, capacity: int = 200_000) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._points: list[TimelinePoint] = []
-        self._recorded = 0
+        super().__init__(capacity)
 
     def record(self, time: float, source: str, series: str, value: float) -> None:
         """Append one sample (counted but not stored past capacity)."""
-        self._recorded += 1
-        if len(self._points) < self.capacity:
-            self._points.append(TimelinePoint(time, source, series, float(value)))
-
-    def merge_from(self, other: "Timeline") -> None:
-        """Append another timeline's retained points (drop-newest)."""
-        room = self.capacity - len(self._points)
-        self._points.extend(other._points[:room])
-        self._recorded += other._recorded
-
-    @property
-    def recorded(self) -> int:
-        """Total points ever recorded (not capacity-limited)."""
-        return self._recorded
-
-    @property
-    def dropped(self) -> int:
-        return self._recorded - len(self._points)
+        if self._admit() is not None:
+            self._items.append(TimelinePoint(time, source, series, float(value)))
 
     def points(
         self,
@@ -72,7 +57,7 @@ class Timeline:
         point exactly on either edge is kept.
         """
         selected = []
-        for point in self._points:
+        for point in self._items:
             if series is not None and point.series != series:
                 continue
             if source is not None and point.source != source:
@@ -86,13 +71,4 @@ class Timeline:
 
     def series_names(self) -> list[str]:
         """Distinct ``(source, series)`` pairs flattened, sorted."""
-        return sorted({f"{p.source}:{p.series}" for p in self._points})
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __repr__(self) -> str:
-        return (
-            f"<Timeline retained={len(self._points)}/{self.capacity} "
-            f"recorded={self._recorded} series={len(self.series_names())}>"
-        )
+        return sorted({f"{p.source}:{p.series}" for p in self._items})

@@ -4,10 +4,9 @@ The flow/span/timeline stores answer *forensic* questions after a run;
 the SLO engine (:mod:`repro.obs.slo`) needs the *monitoring* shape of
 the same data — "what was the p90 / ratio / rate of signal X over the
 window ending now?".  :class:`WindowedStore` is the bridge: a bounded,
-drop-newest sample log (exactly the :class:`~repro.obs.timeline.Timeline`
-retention contract, so ``merge_from`` reproduces a serial run's retained
-samples byte-for-byte) with *window-aligned derivations* computed on
-read.
+drop-newest sample log (the :class:`~repro.obs.store.BoundedLog`
+contract, so ``merge_from`` reproduces a serial run's retained samples
+byte-for-byte) with *window-aligned derivations* computed on read.
 
 Windows are aligned to simulated time zero: sample ``t`` falls in window
 ``floor(t / window)`` for whatever width the reader chooses.  Aggregates
@@ -25,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from repro.obs.store import BoundedLog
 
 __all__ = [
     "TsdbPoint",
@@ -65,58 +66,33 @@ class WindowAggregate:
         return self.total / self.count
 
 
-class WindowedStore:
+class WindowedStore(BoundedLog[TsdbPoint]):
     """Bounded drop-newest sample store with window-aligned readers.
 
-    Mirrors :class:`~repro.obs.timeline.Timeline` retention semantics:
-    ``record`` always counts, appends only under capacity, and
-    ``merge_from`` appends another store's retained samples in *their*
-    recorded order — the order a serial run interleaving the same tasks
-    would have produced.
+    A :class:`~repro.obs.store.BoundedLog` like the timeline, plus a
+    ``(source, series)`` index over the retained samples that merging
+    keeps in step through the retain hook.
     """
 
-    __slots__ = ("capacity", "_points", "_by_key", "_recorded")
+    __slots__ = ("_by_key",)
 
     def __init__(self, capacity: int = 500_000) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._points: list[TsdbPoint] = []
+        super().__init__(capacity)
         self._by_key: dict[tuple[str, str], list[TsdbPoint]] = {}
-        self._recorded = 0
 
     def record(self, time: float, source: str, series: str, value: float) -> None:
         """Record one sample (drop-newest past capacity, still counted)."""
-        self._recorded += 1
-        if len(self._points) >= self.capacity:
+        if self._admit() is None:
             return
         point = TsdbPoint(time=time, source=source, series=series, value=value)
-        self._points.append(point)
+        self._items.append(point)
         self._by_key.setdefault((source, series), []).append(point)
 
-    def merge_from(self, other: "WindowedStore") -> None:
-        """Fold another store's samples into this one, byte-identically."""
-        room = self.capacity - len(self._points)
-        for point in other._points[:room]:
-            self._points.append(point)
-            self._by_key.setdefault((point.source, point.series), []).append(point)
-        self._recorded += other._recorded
+    def _retain(self, item: TsdbPoint) -> None:
+        self._by_key.setdefault((item.source, item.series), []).append(item)
 
     # ------------------------------------------------------------------
     # Raw readers
-
-    @property
-    def recorded(self) -> int:
-        """Samples ever recorded, including dropped ones."""
-        return self._recorded
-
-    @property
-    def dropped(self) -> int:
-        """Samples recorded past capacity and therefore not retained."""
-        return self._recorded - len(self._points)
-
-    def __len__(self) -> int:
-        return len(self._points)
 
     def points(
         self,
@@ -127,7 +103,7 @@ class WindowedStore:
     ) -> list[TsdbPoint]:
         """Retained samples in recorded order, optionally filtered."""
         selected = []
-        for point in self._points:
+        for point in self._items:
             if series is not None and point.series != series:
                 continue
             if source is not None and point.source != source:
@@ -250,10 +226,3 @@ class WindowedStore:
         if num is None:
             return None
         return num / den
-
-    def __repr__(self) -> str:
-        return (
-            f"<WindowedStore retained={len(self._points)}/{self.capacity} "
-            f"series={len(self._by_key)} recorded={self._recorded} "
-            f"dropped={self.dropped}>"
-        )

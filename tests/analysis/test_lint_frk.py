@@ -187,6 +187,68 @@ def test_frk002_dense_id_store_must_renumber(tmp_path):
     assert "AlertLog" in finding.message
 
 
+def test_frk002_dense_id_base_must_renumber(tmp_path):
+    """Id writes and merge_from inherited from a (generic) base count."""
+    source = """
+        class BoundedLog:
+            def __init__(self):
+                self._items = []
+                self._next_id = 0
+
+            def _admit(self):
+                self._next_id += 1
+                return self._next_id
+
+            def merge_from(self, other):
+                self._items.extend(other._items)
+
+
+        class AlertLog(BoundedLog[int]):
+            def begin(self, alert):
+                self._items.append((self._admit(), alert))
+
+
+        class Instrumentation:
+            def __init__(self):
+                self.alerts = AlertLog()
+        """
+    result = lint(tmp_path, source, ["FRK002"])
+    (finding,) = result.findings
+    assert "AlertLog" in finding.message
+    assert "inherited from BoundedLog" in finding.message
+    assert "renumber" in finding.message
+
+
+def test_frk002_renumbering_base_is_silent(tmp_path):
+    source = """
+        class BoundedLog:
+            def __init__(self):
+                self._items = []
+                self._next_id = 0
+
+            def _admit(self):
+                self._next_id += 1
+                return self._next_id
+
+            def merge_from(self, other):
+                offset = self._next_id
+                self._items.extend(other._items)
+                self._next_id = offset + other._next_id
+
+
+        class AlertLog(BoundedLog):
+            def begin(self, alert):
+                self._items.append((self._admit(), alert))
+
+
+        class Instrumentation:
+            def __init__(self):
+                self.alerts = AlertLog()
+        """
+    result = lint(tmp_path, source, ["FRK002"])
+    assert result.findings == []
+
+
 def test_frk_rules_span_modules(tmp_path):
     """Store defined in one module, registered from another."""
     (tmp_path / "stores.py").write_text(

@@ -26,7 +26,7 @@ class TestBeginAndQuery:
         log = FlowLog()
         records = [begin(log, i) for i in range(3)]
         assert [r.flow_id for r in records] == [0, 1, 2]
-        assert log.next_id == 3
+        assert log.recorded == 3
 
     def test_filters_by_host_side_and_openness(self):
         log = FlowLog()
@@ -52,7 +52,7 @@ class TestCapacity:
         assert begin(log, 1) is not None
         assert begin(log, 2) is None  # counted, not retained
         assert len(log) == 2
-        assert log.next_id == 3
+        assert log.recorded == 3
         assert log.dropped == 1
 
     def test_capacity_must_be_positive(self):
@@ -88,7 +88,7 @@ class TestMerge:
         begin(other, 2)
         target.merge_from(other)
         assert len(target) == 2
-        assert target.next_id == 3
+        assert target.recorded == 3
         assert target.dropped == 1
         # The retained prefix is what a serial capacity-2 run would keep.
         assert [r.flow_id for r in target.records()] == [0, 1]

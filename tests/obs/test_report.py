@@ -7,7 +7,7 @@ small real study and checks every above-p90 probe comes back attributed.
 
 import json
 
-from repro.obs import ATTRIBUTION_CAUSES, EventType, Instrumentation
+from repro.obs import ATTRIBUTION_CAUSES, EventType, Instrumentation, TraceLog
 from repro.obs.report import build_report, render_report, report_to_json
 
 ARM = "riptide"
@@ -226,7 +226,8 @@ class TestReportShape:
             assert cause in text
 
     def test_render_warns_on_trace_truncation(self):
-        obs = Instrumentation(trace_capacity=1)
+        obs = Instrumentation()
+        obs.trace = TraceLog(capacity=1)
         add_probe(obs, 0.0, 0.1)
         obs.trace.record(0.0, EventType.CONN_OPENED, "a")
         obs.trace.record(1.0, EventType.CONN_OPENED, "a")

@@ -267,7 +267,7 @@ class TestAlertLog:
         )
         assert log.begin(1.0, "s", "page", "h", rule) is not None
         assert log.begin(2.0, "s", "page", "h", rule) is None
-        assert log.next_id == 2
+        assert log.recorded == 2
         assert log.dropped == 1
 
     def test_merge_renumbers_ids_densely(self):
@@ -282,7 +282,7 @@ class TestAlertLog:
         target.merge_from(first)
         target.merge_from(second)
         assert [e.alert_id for e in target.episodes()] == [0, 1, 2]
-        assert target.next_id == 3
+        assert target.recorded == 3
 
 
 class TestAlertReport:

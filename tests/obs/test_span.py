@@ -59,7 +59,7 @@ class TestMerge:
         spans = target.spans()
         assert [s.span_id for s in spans] == [0, 1, 2]
         assert spans[2].parent_id == spans[1].span_id
-        assert target.next_id == 3
+        assert target.recorded == 3
 
 
 class TestChromeTrace:

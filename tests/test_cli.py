@@ -331,6 +331,20 @@ class TestWatchVerb:
         assert "--speed" in capsys.readouterr().err
 
 
+class TestViewDeterminism:
+    @pytest.mark.parametrize("verb", ["metrics", "flows", "report", "alerts", "watch"])
+    def test_stdout_is_byte_identical_across_runs(self, verb, capsys, tiny_experiment):
+        """The wall-time line goes to stderr; stdout is the view alone."""
+        outputs = []
+        for _ in range(2):
+            assert main([verb, "tiny"]) == 0
+            captured = capsys.readouterr()
+            assert "[tiny completed in" in captured.err
+            assert "completed in" not in captured.out
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
+
 class TestFaultsVerb:
     def test_lists_every_scenario_with_its_timeline(self, capsys):
         assert main(["faults"]) == 0
