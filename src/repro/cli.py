@@ -40,7 +40,9 @@ The five capture views (``metrics``, ``flows``, ``report``, ``alerts``,
 ``watch``) share one argument set (``experiment_id``, ``--fast``,
 ``--workers``, ``--json``) and one run path.  The worker captures merge
 deterministically and the wall-time line goes to stderr, so a view's
-stdout is byte-identical between runs and to a serial run.
+stdout is byte-identical between runs and to a serial run.  ``run``
+sends its banner and wall-time line to stderr too; ``run --faults X``
+is ``run X`` for chaos scenario ``X``.
 """
 
 from __future__ import annotations
@@ -72,9 +74,6 @@ _FAST_OVERRIDES: dict[str, dict] = {
 
 #: Fast mode for the paired-study experiments shrinks the shared config.
 _FAST_STUDY_IDS = ("fig12_14", "fig15_16", "edge_cases")
-
-#: The chaos studies (also reachable via ``run --faults <scenario>``).
-_CHAOS_IDS = ("chaos_lossy_agent", "chaos_partition", "chaos_flaky_tools")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -518,10 +517,12 @@ def _fast_kwargs(experiment_id: str) -> dict[str, object]:
                 duration=30.0,
             )
         }
-    if experiment_id in _CHAOS_IDS:
-        from repro.experiments.chaos import ChaosStudyConfig
+    if EXPERIMENTS[experiment_id].fault_scenario is not None:  # chaos studies
+        from dataclasses import replace
 
-        return {"config": ChaosStudyConfig(warmup=8.0, duration=30.0)}
+        from repro.experiments.scenarios import CHAOS_STUDY
+
+        return {"config": replace(CHAOS_STUDY, warmup=8.0, duration=30.0)}
     if experiment_id == "tournament":
         return {"config": _fast_tournament_config()}
     return dict(_FAST_OVERRIDES.get(experiment_id, {}))
@@ -582,41 +583,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.faults is not None:
         if args.experiment_id is not None:
             return _fail("give either an experiment id or --faults, not both")
-        return _cmd_run_faults(args.faults, args.fast, args.workers)
+        from repro.faults import get_scenario
+
+        # Each chaos scenario is registered as the experiment of its name.
+        args.experiment_id = get_scenario(args.faults).name
     if args.experiment_id is None:
         return _fail("run needs an experiment id (or --faults SCENARIO)")
     exp = get_experiment(args.experiment_id)
-    kwargs = _run_kwargs(exp, args.fast, args.workers)
-    if exp.simulation_backed:
-        print(f"running {exp.experiment_id} (full simulation; this takes a while)...")
-    started = time.perf_counter()
-    result = exp.run(**kwargs)
-    elapsed = time.perf_counter() - started
+    result = _timed_run(exp, _run_kwargs(exp, args.fast, args.workers))
     print(result.report())
-    print(f"\n[{exp.experiment_id} completed in {elapsed:.1f}s]")
-    return 0
-
-
-def _cmd_run_faults(scenario_name: str, fast: bool, workers: int) -> int:
-    """Run the paired chaos study for one fault scenario."""
-    from dataclasses import replace
-
-    from repro.experiments.chaos import ChaosStudyConfig, run_chaos_study
-    from repro.faults import get_scenario
-
-    scenario = get_scenario(scenario_name)
-    config = ChaosStudyConfig(scenario=scenario.name)
-    if fast:
-        config = replace(config, warmup=8.0, duration=30.0)
-    print(
-        f"running chaos scenario {scenario.name} "
-        "(paired control/Riptide simulation; this takes a while)..."
-    )
-    started = time.perf_counter()
-    result = run_chaos_study(config, workers=workers)
-    elapsed = time.perf_counter() - started
-    print(result.report())
-    print(f"\n[{scenario.name} completed in {elapsed:.1f}s]")
     return 0
 
 
@@ -716,6 +691,24 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
+def _timed_run(exp, kwargs: dict[str, object], banner: str = ""):
+    """Run ``exp`` with its banner and wall time on stderr; its result.
+
+    Keeping both off stdout leaves stdout to the deterministic output.
+    """
+    if exp.simulation_backed:
+        print(
+            f"running {exp.experiment_id}{banner} "
+            "(full simulation; this takes a while)...",
+            file=sys.stderr,
+        )
+    started = time.perf_counter()
+    result = exp.run(**kwargs)
+    elapsed = time.perf_counter() - started
+    print(f"\n[{exp.experiment_id} completed in {elapsed:.1f}s]", file=sys.stderr)
+    return result
+
+
 def _run_view(args: argparse.Namespace, what: str):
     """Run one view's experiment under an instrumentation capture.
 
@@ -729,17 +722,8 @@ def _run_view(args: argparse.Namespace, what: str):
     args.experiment_id = _normalize_experiment_id(args.experiment_id)
     exp = get_experiment(args.experiment_id)
     kwargs = _run_kwargs(exp, args.fast, args.workers)
-    if exp.simulation_backed:
-        print(
-            f"running {exp.experiment_id} under {what} capture "
-            "(full simulation; this takes a while)...",
-            file=sys.stderr,
-        )
-    started = time.perf_counter()
     with capture() as instrumentation:
-        exp.run(**kwargs)
-    elapsed = time.perf_counter() - started
-    print(f"\n[{exp.experiment_id} completed in {elapsed:.1f}s]", file=sys.stderr)
+        _timed_run(exp, kwargs, f" under {what} capture")
     dropped = instrumentation.trace.dropped
     if dropped > 0:
         print(

@@ -26,19 +26,15 @@ per-scenario rank.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.cdn.cluster import CdnCluster, ClusterConfig
-from repro.cdn.workload import OrganicWorkloadConfig
-from repro.core.config import RiptideConfig
-from repro.experiments.scenarios import sub_topology
-from repro.faults.engine import FaultInjector
+from repro.experiments.scenarios import CHAOS_STUDY, run_probe_arm
 from repro.faults.scenarios import get_scenario
 from repro.obs import capture
+from repro.obs.metrics import nearest_rank
 from repro.obs.report import build_report
 from repro.policy import policy_names
-from repro.tcp.constants import TcpConfig
 
 #: PoPs for the scenarios without a fault schedule (clean, hybrid):
 #: the same reduced evaluation footprint the fast probe studies use.
@@ -142,11 +138,7 @@ def _nearest_rank_ms(sorted_times: list[float], p: float) -> float | None:
     """Nearest-rank percentile of completion times, in milliseconds."""
     if not sorted_times:
         return None
-    rank = max(
-        0,
-        min(len(sorted_times) - 1, round(p / 100.0 * (len(sorted_times) - 1))),
-    )
-    return round(sorted_times[rank] * 1000.0, 3)
+    return round(nearest_rank(sorted_times, p) * 1000.0, 3)
 
 
 def run_tournament_cell(
@@ -154,81 +146,33 @@ def run_tournament_cell(
 ) -> dict[str, Any]:
     """Run one (policy, scenario) cell; return its picklable judgement.
 
-    Every cell shares the seed, topology, workloads and probe schedule
-    of its scenario column — only the window-decision policy differs —
-    and measures itself from its own instrumentation capture so results
-    do not depend on which process ran it.
+    A cell is the Riptide arm of the chaos study with ``policy`` deciding
+    windows.  Every cell shares the seed, topology, workloads and probe
+    schedule of its scenario column — only the window-decision policy
+    differs — and measures itself from its own instrumentation capture
+    so results do not depend on which process ran it.
     """
     scenario = TOURNAMENT_SCENARIOS[scenario_name]
-    riptide_config = RiptideConfig(
-        policy=policy,
-        granularity="prefix",
-        prefix_length=16,
-        safety_guard=True,
-    )
-    cluster_config = ClusterConfig(
+    study = replace(
+        CHAOS_STUDY,
+        topology_codes=scenario.pop_codes,
+        source_pops=(scenario.source_pop,),
         seed=config.seed,
-        label=policy,
-        riptide=riptide_config,
-        tcp=TcpConfig(default_initrwnd=300, slow_start_after_idle=False),
+        warmup=config.warmup,
+        duration=config.duration,
+        probe_interval=config.probe_interval,
+        organic_rate=config.organic_rate,
+        close_probability=config.close_probability,
+        probe_churn=config.probe_churn,
+        riptide=replace(CHAOS_STUDY.riptide, policy=policy),
+        cluster=replace(CHAOS_STUDY.cluster, label=policy),
+        faults=scenario.chaos,
+        fluid_flows_per_pair=scenario.fluid_flows_per_pair,
     )
     with capture() as instrumentation:
-        topology = sub_topology(list(scenario.pop_codes))
-        cluster = CdnCluster(topology, cluster_config)
-        workload_config = OrganicWorkloadConfig(
-            rate_per_second=config.organic_rate,
-            close_probability=config.close_probability,
-        )
-        codes = cluster.pop_codes
-        for code in codes:
-            cluster.add_organic_workload(
-                code, [c for c in codes if c != code], workload_config
-            )
-        cluster.start_riptide()
-        if scenario.fluid_flows_per_pair > 0:
-            for code in codes:
-                cluster.add_fluid_traffic(
-                    code,
-                    [c for c in codes if c != code],
-                    flows_per_destination=scenario.fluid_flows_per_pair,
-                )
-        cluster.run(config.warmup)
-        fleet = cluster.make_probe_fleet(
-            [scenario.source_pop],
-            interval=config.probe_interval,
-            host_indices=[1],
-            churn_probability=config.probe_churn,
-        )
-        cluster.start_timeline_sampler()
-        cluster.start_slo()
-        fleet.start(initial_delay=0.0)
-        faults_injected = 0
-        faults_cleared = 0
-        if scenario.chaos is not None:
-            injector = FaultInjector(
-                cluster, get_scenario(scenario.chaos).build(config.duration)
-            )
-            injector.arm()
-        else:
-            injector = None
-        cluster.run(config.duration)
-        cluster.sync_flows()
-        if injector is not None:
-            faults_injected = injector.injected
-            faults_cleared = injector.cleared
-        agents = cluster.all_agents()
-        times = sorted(fleet.completion_times())
-        new_times = sorted(fleet.completion_times(new_connections_only=True))
-        events_processed = cluster.sim.events_processed
-        agent_counters = {
-            "guard_trips": sum(a.stats.guard_trips for a in agents),
-            "routes_installed": sum(a.stats.routes_installed for a in agents),
-            "routes_expired": sum(a.stats.routes_expired for a in agents),
-            "poll_failures": sum(a.stats.poll_failures for a in agents),
-            "tool_errors": sum(a.stats.tool_errors for a in agents),
-            "crashes": sum(a.stats.crashes for a in agents),
-            "learned_routes": sum(len(a.learned_table()) for a in agents),
-        }
+        arm = run_probe_arm(study, riptide_enabled=True).summary()
+    times = sorted(arm.fleet.completion_times())
+    new_times = sorted(arm.fleet.completion_times(new_connections_only=True))
     report = build_report(
         instrumentation, experiment=f"{policy}/{scenario_name}"
     )
@@ -243,15 +187,20 @@ def run_tournament_cell(
         "new_p50_ms": _nearest_rank_ms(new_times, 50.0),
         "new_p90_ms": _nearest_rank_ms(new_times, 90.0),
         "causes": report["causes"],
-        "faults_injected": faults_injected,
-        "faults_cleared": faults_cleared,
-        "events_processed": events_processed,
-        # Burn-rate SLO judgement: episodes that reached firing in this
-        # cell's capture (the cell owns exactly one cluster, so the whole
-        # alert log is its own).
-        "slo_violations": instrumentation.alerts.fired_count,
-        "slo_resolved": instrumentation.alerts.resolved_count,
-        **agent_counters,
+        "faults_injected": arm.faults_injected,
+        "faults_cleared": arm.faults_cleared,
+        "events_processed": arm.events_processed,
+        # Burn-rate SLO judgement: episodes of this cell's arm that
+        # reached firing.
+        "slo_violations": sum(1 for episode in arm.alerts if episode.fired),
+        "slo_resolved": sum(1 for episode in arm.alerts if episode.resolved),
+        "guard_trips": arm.guard_trips,
+        "routes_installed": arm.routes_installed,
+        "routes_expired": arm.routes_expired,
+        "poll_failures": arm.poll_failures,
+        "tool_errors": arm.tool_errors,
+        "crashes": arm.crashes,
+        "learned_routes": arm.learned_routes,
     }
 
 

@@ -18,13 +18,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
+from typing import TypeVar
 
 #: Canonical form of a label set: sorted ``(key, value)`` pairs.
 LabelSet = tuple[tuple[str, str], ...]
 
 #: Percentiles reported by default in tables and exports.
 DEFAULT_PERCENTILES = (50.0, 90.0, 99.0)
+
+
+T = TypeVar("T")
+
+
+def nearest_rank(ordered: Sequence[T], p: float) -> T:
+    """Nearest-rank percentile ``p`` (in [0, 100]) of non-empty sorted values."""
+    return ordered[max(0, min(len(ordered) - 1, round(p / 100.0 * (len(ordered) - 1))))]
 
 
 def _labelset(labels: Mapping[str, str]) -> LabelSet:
@@ -142,9 +151,7 @@ class Histogram:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         if not self._samples:
             raise ValueError(f"histogram {self.name!r} has no samples")
-        ordered = self._ordered()
-        rank = max(0, min(len(ordered) - 1, round(p / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+        return nearest_rank(self._ordered(), p)
 
     def observed_between(self, start: float, end: float) -> list[float]:
         """Values observed with sim-time ``t`` in ``[start, end)``.

@@ -41,6 +41,7 @@ from typing import Any
 from repro.net.addresses import AddressError, Prefix
 from repro.obs.flow import FlowRecord
 from repro.obs.instrument import Instrumentation
+from repro.obs.metrics import nearest_rank
 from repro.obs.slo import AlertEpisode, source_matches_arm
 from repro.obs.span import Span
 from repro.obs.trace import EventType, TraceEvent
@@ -56,11 +57,6 @@ ATTRIBUTION_CAUSES = (
 
 #: Tail threshold: probes strictly above this percentile get a cause.
 TAIL_PERCENTILE = 90.0
-
-
-def _nearest_rank(sorted_values: list[float], p: float) -> float:
-    rank = max(0, min(len(sorted_values) - 1, round(p / 100.0 * (len(sorted_values) - 1))))
-    return sorted_values[rank]
 
 
 def _host_in_arm(host: str, arm: str) -> bool:
@@ -147,7 +143,7 @@ def build_report(
         durations = sorted(
             span.duration for span in completed if span.detail("arm", "") == arm
         )
-        threshold = _nearest_rank(durations, TAIL_PERCENTILE)
+        threshold = nearest_rank(durations, TAIL_PERCENTILE)
         slow = [
             span
             for span in completed

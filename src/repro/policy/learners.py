@@ -26,6 +26,7 @@ from repro.core.combiners import Combiner, Observation, make_combiner
 from repro.core.history import HistoryPolicy, make_history_policy
 from repro.core.trend import TrendDetector
 from repro.net.addresses import Prefix
+from repro.obs.metrics import nearest_rank
 from repro.policy.base import WindowPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -108,15 +109,7 @@ class PercentilePolicy(WindowPolicy):
             self._samples[destination] = window
         for sample in samples:
             window.append(sample.cwnd)
-        ordered = sorted(window)
-        rank = max(
-            0,
-            min(
-                len(ordered) - 1,
-                round(self.percentile / 100.0 * (len(ordered) - 1)),
-            ),
-        )
-        return float(ordered[rank])
+        return float(nearest_rank(sorted(window), self.percentile))
 
     def forget(self, destination: Prefix) -> None:
         self._samples.pop(destination, None)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments import get_experiment
+from repro.experiments.scenarios import run_probe_arm
 from repro.experiments.tournament import (
     TOURNAMENT_SCENARIOS,
     TournamentConfig,
@@ -135,3 +136,40 @@ class TestEndToEnd:
         assert "| rank |" in markdown
         assert "| SLO violations |" in markdown
         assert "python -m repro tournament" in markdown
+
+
+class TestCellIsTheChaosRiptideArm:
+    def test_ewma_lossy_agent_cell_matches_the_chaos_study(self, monkeypatch):
+        """A tournament cell is the chaos study's Riptide arm, run once."""
+        from dataclasses import replace
+
+        from repro.experiments import tournament
+        from repro.experiments.chaos import run_chaos_study
+        from repro.experiments.scenarios import CHAOS_STUDY
+
+        arms = []
+
+        def recording_run_probe_arm(config, riptide_enabled):
+            arm = run_probe_arm(config, riptide_enabled)
+            arms.append(arm)
+            return arm
+
+        monkeypatch.setattr(tournament, "run_probe_arm", recording_run_probe_arm)
+        cell = tournament.run_tournament_cell(
+            "ewma",
+            "chaos_lossy_agent",
+            TournamentConfig(seed=7, warmup=8.0, duration=30.0, probe_interval=6.0),
+        )
+        study = run_chaos_study(
+            replace(CHAOS_STUDY, seed=7, warmup=8.0, duration=30.0, probe_interval=6.0)
+        )
+        (cell_arm,) = arms
+        riptide = study.riptide
+        assert sorted(cell_arm.fleet.completion_times()) == sorted(
+            riptide.fleet.completion_times()
+        )
+        assert cell["completed"] == len(riptide.fleet.completion_times()) > 0
+        assert cell["events_processed"] == riptide.events_processed
+        assert cell["faults_injected"] == riptide.faults_injected > 0
+        assert cell["faults_cleared"] == riptide.faults_cleared
+        assert cell["guard_trips"] == riptide.guard_trips > 0

@@ -1,15 +1,14 @@
 """End-to-end chaos scenarios: Riptide must hold up under faults."""
 
-from repro.experiments.chaos import (
-    ChaosStudyConfig,
-    check_expected_alert,
-    run_chaos_study,
-)
+from dataclasses import replace
+
+from repro.experiments.chaos import check_expected_alert, run_chaos_study
+from repro.experiments.scenarios import CHAOS_STUDY
 from repro.faults import CHAOS_SCENARIOS, get_scenario, scenario_names
 from repro.faults.scenarios import ExpectedAlert
 from repro.obs.slo import AlertLog, BurnRateRule
 
-FAST = ChaosStudyConfig(warmup=8.0, duration=30.0)
+FAST = replace(CHAOS_STUDY, warmup=8.0, duration=30.0)
 
 
 class TestScenarioRegistry:
@@ -84,6 +83,15 @@ class TestExpectedAlertContract:
         ok, detail = check_expected_alert(expectation, _episodes(1, 0))
         assert not ok
         assert "never resolved" in detail
+
+    def test_check_reports_never_fired_when_only_resolve_is_required(self):
+        expectation = ExpectedAlert(
+            slo="retransmit_ratio", must_fire=False, must_resolve=True
+        )
+        ok, detail = check_expected_alert(expectation, _episodes(0, 0))
+        assert not ok
+        assert "never fired" in detail
+        assert "fired but" not in detail
 
     def test_check_ignores_other_slos(self):
         expectation = ExpectedAlert(slo="route_staleness")

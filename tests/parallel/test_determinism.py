@@ -5,10 +5,13 @@ measurements — not approximate agreement.  This is the property that
 makes ``--workers N`` safe to use on any experiment.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.multiseed import sweep_seeds
 from repro.experiments.scenarios import (
+    CHAOS_STUDY,
     ProbeArmSummary,
     ProbeStudyConfig,
     ProbeStudyRun,
@@ -130,10 +133,10 @@ class TestObservabilityDeterminism:
             spans_to_chrome_json,
             timeline_to_csv,
         )
-        from repro.experiments.chaos import ChaosStudyConfig, run_chaos_study
+        from repro.experiments.chaos import run_chaos_study
         from repro.obs.report import build_report, report_to_json
 
-        config = ChaosStudyConfig(warmup=5.0, duration=20.0)
+        config = replace(CHAOS_STUDY, warmup=5.0, duration=20.0)
         with capture() as serial_obs:
             run_chaos_study(config)
         with capture() as parallel_obs:
@@ -158,9 +161,9 @@ class TestObservabilityDeterminism:
 class TestChaosStudy:
     @needs_fork
     def test_fault_injected_arms_bit_identical_to_serial(self):
-        from repro.experiments.chaos import ChaosStudyConfig, run_chaos_study
+        from repro.experiments.chaos import run_chaos_study
 
-        config = ChaosStudyConfig(warmup=5.0, duration=20.0)
+        config = replace(CHAOS_STUDY, warmup=5.0, duration=20.0)
         serial = run_chaos_study(config)
         parallel = run_chaos_study(config, workers=2)
         for par, ser in (

@@ -33,9 +33,10 @@ class TestDescribe:
 class TestRun:
     def test_run_model_experiment(self, capsys):
         assert main(["run", "table2"]) == 0
-        out = capsys.readouterr().out
-        assert "Table II" in out
-        assert "completed in" in out
+        captured = capsys.readouterr()
+        assert "Table II" in captured.out
+        assert "completed in" not in captured.out
+        assert "completed in" in captured.err
 
     def test_run_with_fast_flag(self, capsys):
         assert main(["run", "fig03", "--fast"]) == 0
@@ -384,7 +385,7 @@ class TestRunFaults:
         ) == 0
         out = capsys.readouterr().out
         assert "chaos-report" in out
-        assert calls["config"].scenario == "chaos_partition"
+        assert calls["config"].faults == "chaos_partition"
         assert calls["config"].duration == 30.0  # the --fast preset
         assert calls["workers"] == 2
 
